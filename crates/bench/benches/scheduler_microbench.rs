@@ -17,16 +17,29 @@ use sprinklers_core::ols::WeaklyUniformOls;
 use sprinklers_core::packet::Packet;
 use sprinklers_core::sizing::stripe_size;
 use sprinklers_core::sprinklers::SprinklersSwitch;
-use sprinklers_core::stripe::Stripe;
+use sprinklers_core::stripe;
 use sprinklers_core::switch::{CountingSink, Switch};
+use std::collections::VecDeque;
 
-fn mk_stripe(n: usize, start: usize, size: usize, seq: u64) -> Stripe {
+/// Push a stripe of `size` packets onto the `ready` ring, stamp it and
+/// insert it, as a VOQ does.  The ring is reused across stripes.
+fn insert_stripe(
+    s: &mut dyn StripeScheduler,
+    ready: &mut VecDeque<Packet>,
+    n: usize,
+    start: usize,
+    size: usize,
+    seq: u64,
+) {
     assert!(start + size <= n);
     let interval = DyadicInterval::new(start, size);
-    let packets = (0..size)
-        .map(|k| Packet::new(0, 1, seq * 1000 + k as u64, 0).with_voq_seq(seq * 1000 + k as u64))
-        .collect();
-    Stripe::assemble(interval, 0, 1, seq, packets)
+    ready.extend(
+        (0..size).map(|k| {
+            Packet::new(0, 1, seq * 1000 + k as u64, 0).with_voq_seq(seq * 1000 + k as u64)
+        }),
+    );
+    stripe::stamp(interval, ready);
+    s.insert(interval, ready);
 }
 
 fn bench_ols_generation(c: &mut Criterion) {
@@ -60,12 +73,13 @@ fn bench_lsf_insert_serve(c: &mut Criterion) {
     group.sample_size(30);
     group.measurement_time(std::time::Duration::from_secs(3));
     group.bench_function("row_scan", |b| {
+        let mut ready = VecDeque::with_capacity(n);
         b.iter(|| {
             let mut s = RowScanLsf::new(n);
             for seq in 0..64u64 {
                 let size = 1 << (seq % 7);
                 let start = ((seq as usize * 13) % n / size) * size;
-                s.insert(mk_stripe(n, start, size, seq));
+                insert_stripe(&mut s, &mut ready, n, start, size, seq);
             }
             let mut served = 0usize;
             let mut slot = 0usize;
@@ -79,12 +93,13 @@ fn bench_lsf_insert_serve(c: &mut Criterion) {
         });
     });
     group.bench_function("stripe_atomic", |b| {
+        let mut ready = VecDeque::with_capacity(n);
         b.iter(|| {
             let mut s = AtomicLsf::new(n);
             for seq in 0..64u64 {
                 let size = 1 << (seq % 7);
                 let start = ((seq as usize * 13) % n / size) * size;
-                s.insert(mk_stripe(n, start, size, seq));
+                insert_stripe(&mut s, &mut ready, n, start, size, seq);
             }
             let mut served = 0usize;
             let mut slot = 0usize;

@@ -9,7 +9,6 @@ use crate::lsf::{make_scheduler, StripeScheduler};
 use crate::ols::WeaklyUniformOls;
 use crate::packet::Packet;
 use crate::sizing::stripe_size;
-use crate::stripe::Stripe;
 use crate::voq::Voq;
 
 /// One Sprinklers input port.
@@ -84,16 +83,16 @@ impl SprinklersInputPort {
 
     /// Accept an arriving packet.  Any stripes that become complete are
     /// immediately plastered into the scheduler.
+    // lint: hot-path
     pub fn arrive(&mut self, packet: Packet) {
         debug_assert_eq!(packet.input(), self.port_id);
         debug_assert!(packet.output() < self.n);
         let now = packet.arrival_slot;
-        let output = packet.output();
+        let voq = &mut self.voqs[packet.output()];
         self.queued += 1;
-        let before = self.voqs[output].resizes();
-        let stripes = self.voqs[output].push(packet, now);
-        self.resizes += self.voqs[output].resizes() - before;
-        self.plaster(stripes);
+        let before = voq.resizes();
+        self.stripes_formed += voq.push(packet, now, &mut *self.scheduler);
+        self.resizes += voq.resizes() - before;
     }
 
     /// Serve the intermediate port the first fabric currently connects us to.
@@ -114,20 +113,19 @@ impl SprinklersInputPort {
     /// stripes are always collected at the call that completed them), so the
     /// switch skips the whole pass for non-adaptive configurations.
     pub fn maintain(&mut self, slot: u64) {
-        let idx = (slot as usize) % self.n;
-        let before = self.voqs[idx].resizes();
-        let stripes = self.voqs[idx].on_slot(slot);
-        self.resizes += self.voqs[idx].resizes() - before;
-        self.plaster(stripes);
+        let voq = &mut self.voqs[(slot as usize) % self.n];
+        let before = voq.resizes();
+        self.stripes_formed += voq.on_slot(slot, &mut *self.scheduler);
+        self.resizes += voq.resizes() - before;
     }
 
     /// Notification that one of this port's packets reached output `output`.
     /// May release stripes that were held back by a pending resize.
     pub fn packet_delivered(&mut self, output: usize) {
-        let before = self.voqs[output].resizes();
-        let stripes = self.voqs[output].packet_delivered();
-        self.resizes += self.voqs[output].resizes() - before;
-        self.plaster(stripes);
+        let voq = &mut self.voqs[output];
+        let before = voq.resizes();
+        self.stripes_formed += voq.packet_delivered(&mut *self.scheduler);
+        self.resizes += voq.resizes() - before;
     }
 
     /// Request a stripe-size change for one VOQ (the reconfiguration path).
@@ -137,11 +135,11 @@ impl SprinklersInputPort {
     /// deferred stripe-collection work is left for the per-slot maintenance
     /// pass, which non-adaptive configurations skip entirely.
     pub fn request_resize(&mut self, output: usize, size: usize) {
-        let before = self.voqs[output].resizes();
-        self.voqs[output].request_resize(size);
-        self.resizes += self.voqs[output].resizes() - before;
-        let stripes = self.voqs[output].release_ready();
-        self.plaster(stripes);
+        let voq = &mut self.voqs[output];
+        let before = voq.resizes();
+        voq.request_resize(size);
+        self.resizes += voq.resizes() - before;
+        self.stripes_formed += voq.release_ready(&mut *self.scheduler);
     }
 
     /// Packets queued at this port (scheduler plus VOQ ready queues), from a
@@ -184,13 +182,6 @@ impl SprinklersInputPort {
     /// counter and stripe plastering stay in sync.
     pub fn voq(&self, output: usize) -> &Voq {
         &self.voqs[output]
-    }
-
-    fn plaster(&mut self, stripes: Vec<Stripe>) {
-        for stripe in stripes {
-            self.stripes_formed += 1;
-            self.scheduler.insert(stripe);
-        }
     }
 }
 

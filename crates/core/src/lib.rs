@@ -15,8 +15,8 @@
 //!   for every one of the N² VOQs, so that both the row (per input) and the
 //!   column (per output) mappings are uniform random permutations.
 //! * [`stripe`] / [`voq`] — chronological grouping of a VOQ's packets into
-//!   stripes, and the per-VOQ state machine (including adaptive resizing with a
-//!   clearance phase).
+//!   stripes, stamped in place on the VOQ's ready ring, and the per-VOQ state
+//!   machine (including adaptive resizing with a clearance phase).
 //! * [`lsf`] — the N×(log₂N+1) grid of FIFO queues that implements the
 //!   Largest Stripe First policy in constant time per slot (§3.4.2, Fig. 4).
 //! * [`occupancy`] — hierarchical port-occupancy bitsets that let the per-slot
@@ -41,10 +41,13 @@
 //! [`Switch::step(slot, &mut sink)`](switch::Switch::step): every packet that
 //! reaches its output port during the slot is *pushed* into the caller's
 //! [`DeliverySink`](switch::DeliverySink) instead of being returned in a
-//! freshly allocated `Vec`.  The steady-state simulation loop therefore does
-//! no per-slot heap allocation — the property that lets the constant-time LSF
-//! scheduler (§3.4.2 of the paper) actually run at hardware-like speed in the
-//! simulator.  `Vec<DeliveredPacket>` implements `DeliverySink` for tests and
+//! freshly allocated `Vec`.  The arrival side matches it: a VOQ stamps a
+//! completed stripe in place on its ready ring and the LSF scheduler moves
+//! the packets straight off the ring into pooled per-level stripe buffers
+//! ([`stripe`], [`lsf::StripeScheduler::insert`]).  The steady-state
+//! simulation loop therefore does no heap allocation at all, per slot or per
+//! packet — the property that lets the constant-time LSF scheduler (§3.4.2
+//! of the paper) actually run at hardware-like speed in the simulator.  `Vec<DeliveredPacket>` implements `DeliverySink` for tests and
 //! examples that want to inspect deliveries;
 //! [`NullSink`](switch::NullSink) discards them and
 //! [`CountingSink`](switch::CountingSink) tallies them.

@@ -19,14 +19,16 @@
 //! Both implement the [`StripeScheduler`] trait so the input port (and the
 //! tests and benches) can treat them interchangeably.
 
+use crate::dyadic::DyadicInterval;
 use crate::packet::Packet;
-use crate::stripe::Stripe;
 use std::collections::VecDeque;
 
 /// Common interface of the input-stage stripe schedulers.
 pub trait StripeScheduler {
-    /// Insert a freshly assembled stripe ("plaster" it into the schedule).
-    fn insert(&mut self, stripe: Stripe);
+    /// Insert ("plaster") the stripe over `interval` that sits at the front
+    /// of a VOQ's ready ring: its first `interval.size()` packets, already
+    /// stamped by [`crate::stripe::stamp`], are moved off the ring.
+    fn insert(&mut self, interval: DyadicInterval, ready: &mut VecDeque<Packet>);
 
     /// Serve the given row (intermediate port): return the packet to transmit
     /// in this slot, or `None` if the scheduler has nothing to send to that
@@ -98,16 +100,17 @@ impl RowScanLsf {
 }
 
 impl StripeScheduler for RowScanLsf {
-    fn insert(&mut self, stripe: Stripe) {
-        let level = stripe.level();
+    // lint: hot-path
+    fn insert(&mut self, interval: DyadicInterval, ready: &mut VecDeque<Packet>) {
+        let level = interval.level();
         debug_assert!(level < self.levels);
-        debug_assert!(stripe.interval.end() <= self.n);
-        for (offset, packet) in stripe.packets.into_iter().enumerate() {
-            let row = stripe.interval.start() + offset;
+        debug_assert!(interval.end() <= self.n);
+        let rows = interval.start()..interval.end();
+        for (row, packet) in rows.zip(ready.drain(..interval.size())) {
             self.queues[row][level].push_back(packet);
             self.row_counts[row] += 1;
-            self.queued += 1;
         }
+        self.queued += interval.size();
     }
 
     fn serve(&mut self, row: usize) -> Option<Packet> {
@@ -144,12 +147,19 @@ impl StripeScheduler for RowScanLsf {
 /// A stripe currently being served by the atomic scheduler.
 #[derive(Debug, Clone)]
 struct InService {
-    stripe: Stripe,
-    next_offset: usize,
+    level: usize,
+    /// The packets not yet served, last offset first.
+    rest: Vec<Packet>,
 }
 
 /// Algorithm 1 of the paper: stripes start only at the first port of their
 /// interval and are served to completion in consecutive slots.
+///
+/// A queued stripe is a buffer of exactly `2^level` packets in reverse
+/// offset order, so service pops them off the back by move.  Emptied buffers
+/// go back to a per-level pool and carry the next stripe of that level:
+/// once the pools reach the run's high-water mark, inserting and serving
+/// stripes allocate nothing.
 #[derive(Debug, Clone)]
 pub struct AtomicLsf {
     n: usize,
@@ -157,7 +167,9 @@ pub struct AtomicLsf {
     /// One FIFO of stripes per dyadic interval.  `interval_queues[level][index]`
     /// holds the stripes with interval `[index·2^level, (index+1)·2^level)`.
     /// There are `2N − 1` FIFOs in total, exactly as §3.4.2 observes.
-    interval_queues: Vec<Vec<VecDeque<Stripe>>>,
+    interval_queues: Vec<Vec<VecDeque<Vec<Packet>>>>,
+    /// `pools[level]`: empty stripe buffers with room for `2^level` packets.
+    pools: Vec<Vec<Vec<Packet>>>,
     in_service: Option<InService>,
     queued: usize,
     row_counts: Vec<usize>,
@@ -181,6 +193,7 @@ impl AtomicLsf {
             n,
             levels,
             interval_queues,
+            pools: vec![Vec::new(); levels],
             in_service: None,
             queued: 0,
             row_counts: vec![0; n],
@@ -206,33 +219,48 @@ impl AtomicLsf {
     }
 }
 
+/// A buffer for a stripe of `size` packets, for when the level's pool is
+/// empty: only while the pools grow to their high-water mark.
+#[cold]
+fn stripe_buffer(size: usize) -> Vec<Packet> {
+    Vec::with_capacity(size)
+}
+
 impl StripeScheduler for AtomicLsf {
-    fn insert(&mut self, stripe: Stripe) {
-        let level = stripe.level();
-        let index = stripe.interval.index();
-        debug_assert!(stripe.interval.end() <= self.n);
-        for offset in 0..stripe.size() {
-            self.row_counts[stripe.interval.start() + offset] += 1;
+    // lint: hot-path
+    fn insert(&mut self, interval: DyadicInterval, ready: &mut VecDeque<Packet>) {
+        let level = interval.level();
+        let size = interval.size();
+        debug_assert!(interval.end() <= self.n);
+        let mut buffer = match self.pools[level].pop() {
+            Some(buffer) => buffer,
+            None => stripe_buffer(size),
+        };
+        buffer.extend(ready.drain(..size).rev());
+        for row in interval.start()..interval.end() {
+            self.row_counts[row] += 1;
         }
-        self.queued += stripe.size();
-        self.interval_queues[level][index].push_back(stripe);
+        self.queued += size;
+        self.interval_queues[level][interval.index()].push_back(buffer);
     }
 
+    // lint: hot-path
     fn serve(&mut self, row: usize) -> Option<Packet> {
         // Continue a stripe already in service: its next packet is always
         // destined to the current row because the connection pattern advances
         // one intermediate port per slot and the stripe's ports are
         // consecutive.
         if let Some(svc) = &mut self.in_service {
-            debug_assert_eq!(svc.stripe.port_of_offset(svc.next_offset), row);
-            let packet = svc.stripe.packets[svc.next_offset].clone();
-            svc.next_offset += 1;
-            if svc.next_offset == svc.stripe.size() {
-                self.in_service = None;
+            let packet = svc.rest.pop();
+            debug_assert_eq!(packet.as_ref().map(Packet::intermediate), Some(row));
+            if svc.rest.is_empty() {
+                if let Some(done) = self.in_service.take() {
+                    self.pools[done.level].push(done.rest);
+                }
             }
             self.queued -= 1;
             self.row_counts[row] -= 1;
-            return Some(packet);
+            return packet;
         }
 
         // Fast miss: nothing queued through this row at all (the common case
@@ -251,17 +279,16 @@ impl StripeScheduler for AtomicLsf {
                 continue;
             }
             let index = row / size;
-            if let Some(stripe) = self.interval_queues[level][index].pop_front() {
-                let packet = stripe.packets[0].clone();
+            if let Some(mut rest) = self.interval_queues[level][index].pop_front() {
+                let packet = rest.pop();
                 self.queued -= 1;
                 self.row_counts[row] -= 1;
-                if stripe.size() > 1 {
-                    self.in_service = Some(InService {
-                        stripe,
-                        next_offset: 1,
-                    });
+                if rest.is_empty() {
+                    self.pools[level].push(rest);
+                } else {
+                    self.in_service = Some(InService { level, rest });
                 }
-                return Some(packet);
+                return packet;
             }
         }
         None
@@ -293,20 +320,27 @@ mod tests {
     use crate::dyadic::DyadicInterval;
     use proptest::prelude::*;
 
-    fn mk_stripe(n: usize, start: usize, size: usize, seq: u64) -> Stripe {
+    /// Stamp a stripe of `size` packets over `[start, start + size)` and
+    /// insert it, as a VOQ would.  `voq_seq / 100` identifies the stripe.
+    fn insert(s: &mut dyn StripeScheduler, n: usize, start: usize, size: usize, seq: u64) {
         assert!(start + size <= n);
         let interval = DyadicInterval::new(start, size);
-        let packets = (0..size)
+        let mut ready: VecDeque<Packet> = (0..size)
             .map(|i| Packet::new(0, 1, seq * 100 + i as u64, 0).with_voq_seq(seq * 100 + i as u64))
             .collect();
-        Stripe::assemble(interval, 0, 1, seq, packets)
+        crate::stripe::stamp(interval, &mut ready);
+        s.insert(interval, &mut ready);
+        assert!(
+            ready.is_empty(),
+            "insert takes the whole stripe off the ring"
+        );
     }
 
     #[test]
     fn row_scan_serves_largest_level_first() {
         let mut s = RowScanLsf::new(8);
-        s.insert(mk_stripe(8, 0, 1, 0)); // level 0 at row 0
-        s.insert(mk_stripe(8, 0, 4, 1)); // level 2 at rows 0..4
+        insert(&mut s, 8, 0, 1, 0); // level 0 at row 0
+        insert(&mut s, 8, 0, 4, 1); // level 2 at rows 0..4
         let p = s.serve(0).unwrap();
         assert_eq!(p.stripe_size(), 4, "the larger stripe must be served first");
         let p = s.serve(0).unwrap();
@@ -318,7 +352,7 @@ mod tests {
     #[test]
     fn row_scan_is_work_conserving() {
         let mut s = RowScanLsf::new(8);
-        s.insert(mk_stripe(8, 4, 4, 0));
+        insert(&mut s, 8, 4, 4, 0);
         // Any row within [4, 8) must be servable immediately.
         for row in 4..8 {
             assert!(s.queued_in_row(row) > 0);
@@ -330,7 +364,7 @@ mod tests {
     #[test]
     fn atomic_starts_only_at_interval_start() {
         let mut s = AtomicLsf::new(8);
-        s.insert(mk_stripe(8, 0, 4, 0));
+        insert(&mut s, 8, 0, 4, 0);
         // Rows 1..4 cannot start the stripe.
         assert!(s.serve(1).is_none());
         assert!(s.serve(2).is_none());
@@ -347,7 +381,7 @@ mod tests {
     #[test]
     fn atomic_serves_stripe_contiguously_in_offset_order() {
         let mut s = AtomicLsf::new(8);
-        s.insert(mk_stripe(8, 4, 4, 3));
+        insert(&mut s, 8, 4, 4, 3);
         let mut served = Vec::new();
         for row in 4..8 {
             served.push(s.serve(row).unwrap());
@@ -361,8 +395,8 @@ mod tests {
     #[test]
     fn atomic_prefers_largest_stripe_at_start_row() {
         let mut s = AtomicLsf::new(8);
-        s.insert(mk_stripe(8, 0, 2, 0));
-        s.insert(mk_stripe(8, 0, 8, 1));
+        insert(&mut s, 8, 0, 2, 0);
+        insert(&mut s, 8, 0, 8, 1);
         let p = s.serve(0).unwrap();
         assert_eq!(p.stripe_size(), 8);
         // The size-2 stripe must wait until the size-8 stripe finishes and the
@@ -378,8 +412,8 @@ mod tests {
     #[test]
     fn atomic_fcfs_within_same_interval() {
         let mut s = AtomicLsf::new(4);
-        s.insert(mk_stripe(4, 0, 2, 0));
-        s.insert(mk_stripe(4, 0, 2, 1));
+        insert(&mut s, 4, 0, 2, 0);
+        insert(&mut s, 4, 0, 2, 1);
         let first = s.serve(0).unwrap();
         s.serve(1).unwrap();
         let second = s.serve(0).unwrap();
@@ -390,10 +424,32 @@ mod tests {
     }
 
     #[test]
+    fn atomic_reuses_stripe_buffers_per_level() {
+        let mut s = AtomicLsf::new(8);
+        insert(&mut s, 8, 0, 4, 0);
+        insert(&mut s, 8, 4, 2, 1);
+        for row in 0..6 {
+            assert!(s.serve(row).is_some());
+        }
+        assert_eq!(s.pools[2].len(), 1, "a finished stripe returns its buffer");
+        assert_eq!(s.pools[1].len(), 1);
+        insert(&mut s, 8, 4, 4, 2);
+        assert!(
+            s.pools[2].is_empty(),
+            "the next stripe of the level reuses it"
+        );
+        for row in 4..8 {
+            assert_eq!(s.serve(row).map(|p| p.voq_seq), Some(200 + row as u64 - 4));
+        }
+        assert_eq!(s.pools[2].len(), 1);
+        assert!(s.is_empty());
+    }
+
+    #[test]
     fn queued_in_row_tracks_insertions_and_service() {
         let mut s = RowScanLsf::new(8);
-        s.insert(mk_stripe(8, 0, 2, 0));
-        s.insert(mk_stripe(8, 0, 8, 1));
+        insert(&mut s, 8, 0, 2, 0);
+        insert(&mut s, 8, 0, 8, 1);
         assert_eq!(s.queued_in_row(0), 2);
         assert_eq!(s.queued_in_row(1), 2);
         assert_eq!(s.queued_in_row(5), 1);
@@ -405,8 +461,8 @@ mod tests {
     fn make_scheduler_respects_discipline() {
         let mut a = make_scheduler(crate::config::InputDiscipline::StripeAtomic, 4);
         let mut r = make_scheduler(crate::config::InputDiscipline::RowScan, 4);
-        a.insert(mk_stripe(4, 0, 4, 0));
-        r.insert(mk_stripe(4, 0, 4, 0));
+        insert(&mut *a, 4, 0, 4, 0);
+        insert(&mut *r, 4, 0, 4, 0);
         // Row 2 is mid-interval: the atomic scheduler refuses, row-scan serves.
         assert!(a.serve(2).is_none());
         assert!(r.serve(2).is_some());
@@ -432,9 +488,8 @@ mod tests {
             for (seq, (port, level)) in starts.into_iter().enumerate() {
                 let size = 1usize << level;
                 let start = (port / size) * size;
-                let stripe = mk_stripe(n, start, size, seq as u64);
+                insert(&mut s, n, start, size, seq as u64);
                 inserted += size;
-                s.insert(stripe);
             }
             prop_assert_eq!(s.queued_packets(), inserted);
             let mut served = 0usize;
@@ -461,7 +516,7 @@ mod tests {
             for (seq, (port, level)) in starts.into_iter().enumerate() {
                 let size = 1usize << level;
                 let start = (port / size) * size;
-                s.insert(mk_stripe(n, start, size, seq as u64));
+                insert(&mut s, n, start, size, seq as u64);
                 inserted += size;
             }
             let mut served: Vec<(usize, Packet)> = Vec::new();
@@ -474,7 +529,7 @@ mod tests {
                 slot += 1;
             }
             prop_assert_eq!(served.len(), inserted);
-            // Group by (voq_seq / 100) which identifies the stripe in mk_stripe,
+            // Group by (voq_seq / 100) which identifies the stripe in `insert`,
             // and check contiguity in time and offset order.
             use std::collections::HashMap;
             let mut by_stripe: HashMap<u64, Vec<(usize, usize)>> = HashMap::new();

@@ -96,19 +96,21 @@ mod tests {
     use crate::dyadic::DyadicInterval;
     use crate::lsf::StripeScheduler;
     use crate::packet::Packet;
-    use crate::stripe::Stripe;
+    use std::collections::VecDeque;
 
-    fn mk_stripe(start: usize, size: usize) -> Stripe {
+    fn insert(s: &mut RowScanLsf, start: usize, size: usize) {
         let interval = DyadicInterval::new(start, size);
-        let packets = (0..size).map(|k| Packet::new(0, 1, k as u64, 0)).collect();
-        Stripe::assemble(interval, 0, 1, 0, packets)
+        let mut ready: VecDeque<Packet> =
+            (0..size).map(|k| Packet::new(0, 1, k as u64, 0)).collect();
+        crate::stripe::stamp(interval, &mut ready);
+        s.insert(interval, &mut ready);
     }
 
     #[test]
     fn snapshot_reflects_scheduler_contents() {
         let mut s = RowScanLsf::new(8);
-        s.insert(mk_stripe(0, 4));
-        s.insert(mk_stripe(6, 2));
+        insert(&mut s, 0, 4);
+        insert(&mut s, 6, 2);
         let grid = OccupancyGrid::from_row_scan(&s);
         assert_eq!(grid.total(), 6);
         assert_eq!(grid.get(0, 2), 1);
@@ -122,7 +124,7 @@ mod tests {
     #[test]
     fn render_contains_headers_and_counts() {
         let mut s = RowScanLsf::new(4);
-        s.insert(mk_stripe(0, 4));
+        insert(&mut s, 0, 4);
         let grid = OccupancyGrid::from_row_scan(&s);
         let text = grid.render();
         assert!(text.contains("port   0"));

@@ -7,80 +7,30 @@
 //! atomic unit of service at both the input and the intermediate stage: the
 //! servicing of two stripes never interleaves, which — combined with FCFS
 //! order of stripes within a VOQ — is what rules out packet reordering.
+//!
+//! A stripe is never materialized as an object of its own.  The VOQ stamps
+//! the first `2^k` packets of its ready ring in place with [`stamp`], and the
+//! input port's scheduler moves them straight off the ring front
+//! ([`crate::lsf::StripeScheduler::insert`]).  Forming a stripe therefore
+//! moves each packet once and allocates nothing.
 
 use crate::dyadic::DyadicInterval;
 use crate::packet::Packet;
-use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
-/// A full stripe of packets from one VOQ, ready to be scheduled.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Stripe {
-    /// The dyadic interval of intermediate ports the stripe is spread over.
-    pub interval: DyadicInterval,
-    /// Input port of the originating VOQ.
-    pub input: usize,
-    /// Output port of the originating VOQ.
-    pub output: usize,
-    /// Monotonically increasing stripe sequence number within the VOQ.
-    pub stripe_seq: u64,
-    /// The packets, in VOQ arrival order; `packets[o]` traverses intermediate
-    /// port `interval.start() + o`.
-    pub packets: Vec<Packet>,
-}
-
-impl Stripe {
-    /// Assemble a stripe from packets of a VOQ.
-    ///
-    /// Stamps each packet's `stripe_size`, `stripe_index` and `intermediate`
-    /// routing fields.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of packets does not equal the interval size.
-    pub fn assemble(
-        interval: DyadicInterval,
-        input: usize,
-        output: usize,
-        stripe_seq: u64,
-        mut packets: Vec<Packet>,
-    ) -> Self {
-        assert_eq!(
-            packets.len(),
-            interval.size(),
-            "a stripe must contain exactly interval.size() packets"
-        );
-        for (offset, p) in packets.iter_mut().enumerate() {
-            p.set_stripe_size(interval.size());
-            p.set_stripe_index(offset);
-            p.set_intermediate(interval.start() + offset);
-        }
-        Stripe {
-            interval,
-            input,
-            output,
-            stripe_seq,
-            packets,
-        }
-    }
-
-    /// Number of packets in the stripe (equals the interval size).
-    pub fn size(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// The stripe's level, `log₂(size)`.
-    pub fn level(&self) -> usize {
-        self.interval.level()
-    }
-
-    /// The intermediate port traversed by the packet at `offset`.
-    pub fn port_of_offset(&self, offset: usize) -> usize {
-        self.interval.start() + offset
-    }
-
-    /// Number of real (non-padding) packets in the stripe.
-    pub fn data_packets(&self) -> usize {
-        self.packets.iter().filter(|p| !p.is_padding()).count()
+/// Stamp the first `interval.size()` packets of `ready` as one stripe over
+/// `interval`: each gets its `stripe_size`, its `stripe_index` and the
+/// `intermediate` port it will traverse.  Packets behind the stripe are left
+/// untouched.
+// lint: hot-path
+#[inline]
+pub fn stamp(interval: DyadicInterval, ready: &mut VecDeque<Packet>) {
+    debug_assert!(ready.len() >= interval.size(), "stripe longer than ring");
+    let size = interval.size();
+    for (offset, packet) in ready.range_mut(..size).enumerate() {
+        packet.set_stripe_size(size);
+        packet.set_stripe_index(offset);
+        packet.set_intermediate(interval.start() + offset);
     }
 }
 
@@ -88,47 +38,43 @@ impl Stripe {
 mod tests {
     use super::*;
 
-    fn mk_packets(n: usize) -> Vec<Packet> {
+    fn ring(n: usize) -> VecDeque<Packet> {
         (0..n)
             .map(|i| Packet::new(2, 5, i as u64, 10).with_voq_seq(i as u64))
             .collect()
     }
 
     #[test]
-    fn assemble_stamps_routing_fields() {
-        let interval = DyadicInterval::new(8, 4);
-        let s = Stripe::assemble(interval, 2, 5, 7, mk_packets(4));
-        assert_eq!(s.size(), 4);
-        assert_eq!(s.level(), 2);
-        for (o, p) in s.packets.iter().enumerate() {
+    fn stamp_sets_routing_fields_of_the_stripe_only() {
+        let mut ready = ring(6);
+        stamp(DyadicInterval::new(8, 4), &mut ready);
+        for (o, p) in ready.iter().take(4).enumerate() {
             assert_eq!(p.stripe_size(), 4);
             assert_eq!(p.stripe_index(), o);
             assert_eq!(p.intermediate(), 8 + o);
-            assert_eq!(s.port_of_offset(o), 8 + o);
+        }
+        for p in ready.iter().skip(4) {
+            assert_eq!(
+                p.stripe_size(),
+                0,
+                "packets behind the stripe are untouched"
+            );
         }
     }
 
     #[test]
     #[should_panic]
-    fn assemble_rejects_wrong_packet_count() {
-        let interval = DyadicInterval::new(8, 4);
-        let _ = Stripe::assemble(interval, 2, 5, 0, mk_packets(3));
-    }
-
-    #[test]
-    fn data_packets_excludes_padding() {
-        let interval = DyadicInterval::new(0, 2);
-        let packets = vec![Packet::new(0, 1, 0, 0), Packet::padding(0, 1, 0)];
-        let s = Stripe::assemble(interval, 0, 1, 0, packets);
-        assert_eq!(s.data_packets(), 1);
+    fn stamp_rejects_a_ring_shorter_than_the_stripe() {
+        let mut ready = ring(3);
+        stamp(DyadicInterval::new(8, 4), &mut ready);
     }
 
     #[test]
     fn unit_stripe_is_valid() {
-        let interval = DyadicInterval::new(5, 1);
-        let s = Stripe::assemble(interval, 0, 0, 3, mk_packets(1));
-        assert_eq!(s.size(), 1);
-        assert_eq!(s.level(), 0);
-        assert_eq!(s.port_of_offset(0), 5);
+        let mut ready = ring(1);
+        stamp(DyadicInterval::new(5, 1), &mut ready);
+        assert_eq!(ready[0].stripe_size(), 1);
+        assert_eq!(ready[0].stripe_index(), 0);
+        assert_eq!(ready[0].intermediate(), 5);
     }
 }

@@ -1,36 +1,34 @@
-//! Virtual Output Queues (VOQs) with stripe assembly and adaptive resizing.
+//! Virtual Output Queues (VOQs) with stripe formation and adaptive resizing.
 //!
 //! Each input port keeps one VOQ per output.  A VOQ accumulates arriving
-//! packets in a *ready queue* and releases them in full stripes of its current
-//! stripe size (§3.2).  When the sizing mode is adaptive, the VOQ measures its
-//! own arrival rate, decides on stripe-size changes with hysteresis, and
-//! performs the *clearance phase* of §5: a new stripe size only takes effect
-//! once every packet striped under the old size has left the switch, which is
-//! what keeps resizing from reintroducing reordering.
+//! packets in a *ready ring* and releases them in full stripes of its current
+//! stripe size (§3.2): it stamps a stripe's packets in place on the ring and
+//! hands them straight to the input port's scheduler.  When the sizing mode
+//! is adaptive, the VOQ measures its own arrival rate, decides on stripe-size
+//! changes with hysteresis, and performs the *clearance phase* of §5: a new
+//! stripe size only takes effect once every packet striped under the old
+//! size has left the switch, which is what keeps resizing from reintroducing
+//! reordering.
 
 use crate::config::AdaptiveSizing;
 use crate::dyadic::DyadicInterval;
+use crate::lsf::StripeScheduler;
 use crate::packet::Packet;
 use crate::rate_estimator::RateEstimator;
 use crate::sizing::SizeDecider;
-use crate::stripe::Stripe;
+use crate::stripe;
 use std::collections::VecDeque;
 
-/// Sizing behaviour of a single VOQ.
+/// The adaptive-sizing state of a VOQ whose stripe size follows its
+/// measured arrival rate.
 #[derive(Debug, Clone)]
-enum VoqSizing {
-    /// The stripe size is fixed for the lifetime of the switch (set from a
-    /// traffic matrix or an explicit constant).
-    Fixed,
-    /// The stripe size follows the measured arrival rate.
-    Adaptive {
-        estimator: RateEstimator,
-        decider: SizeDecider,
-        /// Slots between sizing decisions (the measurement window).
-        window: u64,
-        /// Slot at which the next sizing decision is due.
-        next_check: u64,
-    },
+struct AdaptiveState {
+    estimator: RateEstimator,
+    decider: SizeDecider,
+    /// Slots between sizing decisions (the measurement window).
+    window: u64,
+    /// Slot at which the next sizing decision is due.
+    next_check: u64,
 }
 
 /// A single Virtual Output Queue at an input port.
@@ -46,13 +44,15 @@ pub struct Voq {
     interval: DyadicInterval,
     /// Packets waiting to fill the next stripe, in arrival order.
     ready: VecDeque<Packet>,
-    next_stripe_seq: u64,
     /// Packets that have been released in stripes but have not yet been
     /// reported as delivered at the output.
     in_flight: u64,
     /// A stripe-size change waiting for the clearance phase to finish.
     pending_size: Option<usize>,
-    sizing: VoqSizing,
+    /// `None` when the stripe size is fixed for the lifetime of the switch
+    /// (set from a traffic matrix or an explicit constant).  Boxed because
+    /// it is cold: the n² fixed-size VOQs of a switch stay small.
+    adaptive: Option<Box<AdaptiveState>>,
     /// Cumulative number of committed stripe-size changes (for telemetry).
     resizes: u64,
 }
@@ -70,10 +70,9 @@ impl Voq {
             current_size: size,
             interval: DyadicInterval::containing(primary_port, size),
             ready: VecDeque::new(),
-            next_stripe_seq: 0,
             in_flight: 0,
             pending_size: None,
-            sizing: VoqSizing::Fixed,
+            adaptive: None,
             resizes: 0,
         }
     }
@@ -88,26 +87,14 @@ impl Voq {
         params: &AdaptiveSizing,
     ) -> Self {
         let initial_size = params.initial_size.clamp(1, n);
-        assert!(initial_size.is_power_of_two());
-        Voq {
-            input,
-            output,
-            n,
-            primary_port,
-            current_size: initial_size,
-            interval: DyadicInterval::containing(primary_port, initial_size),
-            ready: VecDeque::new(),
-            next_stripe_seq: 0,
-            in_flight: 0,
-            pending_size: None,
-            sizing: VoqSizing::Adaptive {
-                estimator: RateEstimator::new(params.window, params.gamma),
-                decider: SizeDecider::new(n, initial_size, params.patience),
-                window: params.window,
-                next_check: params.window,
-            },
-            resizes: 0,
-        }
+        let mut voq = Self::fixed(input, output, n, primary_port, initial_size);
+        voq.adaptive = Some(Box::new(AdaptiveState {
+            estimator: RateEstimator::new(params.window, params.gamma),
+            decider: SizeDecider::new(n, initial_size, params.patience),
+            window: params.window,
+            next_check: params.window,
+        }));
+        voq
     }
 
     /// The VOQ's primary intermediate port.
@@ -145,23 +132,26 @@ impl Voq {
         self.pending_size.is_some()
     }
 
-    /// Enqueue an arriving packet and return any stripes that become complete.
-    pub fn push(&mut self, packet: Packet, now: u64) -> Vec<Stripe> {
+    /// Enqueue an arriving packet, inserting every stripe that becomes
+    /// complete into `scheduler`.  Returns the number of stripes formed.
+    #[inline]
+    pub fn push(&mut self, packet: Packet, now: u64, scheduler: &mut dyn StripeScheduler) -> u64 {
         debug_assert_eq!(packet.input(), self.input);
         debug_assert_eq!(packet.output(), self.output);
-        if let VoqSizing::Adaptive { estimator, .. } = &mut self.sizing {
-            estimator.record_arrival(now);
+        if let Some(adaptive) = &mut self.adaptive {
+            adaptive.estimator.record_arrival(now);
         }
         self.ready.push_back(packet);
         self.maybe_resize(now);
-        self.collect_stripes()
+        self.form_stripes(scheduler)
     }
 
     /// Advance the adaptive sizing clock without an arrival (call once per
     /// measurement window or per slot; it is cheap when no window elapsed).
-    pub fn on_slot(&mut self, now: u64) -> Vec<Stripe> {
+    /// Returns the number of stripes formed into `scheduler`.
+    pub fn on_slot(&mut self, now: u64, scheduler: &mut dyn StripeScheduler) -> u64 {
         self.maybe_resize(now);
-        self.collect_stripes()
+        self.form_stripes(scheduler)
     }
 
     /// Form any stripes the ready queue can already fill, without advancing
@@ -170,13 +160,15 @@ impl Voq {
     /// resize out of band (reconfiguration) use this to release them at the
     /// resize site — which is what lets the switch's per-slot maintenance
     /// pass be skipped entirely for non-adaptive sizing.
-    pub fn release_ready(&mut self) -> Vec<Stripe> {
-        self.collect_stripes()
+    pub fn release_ready(&mut self, scheduler: &mut dyn StripeScheduler) -> u64 {
+        self.form_stripes(scheduler)
     }
 
     /// Report that one of this VOQ's packets reached its output port.
-    /// Returns any stripes released because a pending resize could commit.
-    pub fn packet_delivered(&mut self) -> Vec<Stripe> {
+    /// Returns the number of stripes released into `scheduler` because a
+    /// pending resize could commit.
+    #[inline]
+    pub fn packet_delivered(&mut self, scheduler: &mut dyn StripeScheduler) -> u64 {
         debug_assert!(
             self.in_flight > 0,
             "delivered more packets than were in flight"
@@ -184,9 +176,9 @@ impl Voq {
         self.in_flight = self.in_flight.saturating_sub(1);
         if self.in_flight == 0 && self.pending_size.is_some() {
             self.commit_resize();
-            return self.collect_stripes();
+            return self.form_stripes(scheduler);
         }
-        Vec::new()
+        0
     }
 
     /// Request a stripe-size change (used by the matrix-driven and fixed
@@ -201,31 +193,21 @@ impl Voq {
             self.pending_size = None;
             return;
         }
+        self.pending_size = Some(new_size);
         if self.in_flight == 0 {
-            self.pending_size = Some(new_size);
             self.commit_resize();
-        } else {
-            self.pending_size = Some(new_size);
         }
     }
 
     fn maybe_resize(&mut self, now: u64) {
-        let mut requested = None;
-        if let VoqSizing::Adaptive {
-            estimator,
-            decider,
-            window,
-            next_check,
-        } = &mut self.sizing
-        {
-            if now >= *next_check {
-                let rate = estimator.rate_at(now);
-                if let Some(size) = decider.observe(rate) {
-                    requested = Some(size);
-                }
-                *next_check = now - (now % *window) + *window;
-            }
+        let Some(adaptive) = &mut self.adaptive else {
+            return;
+        };
+        if now < adaptive.next_check {
+            return;
         }
+        let requested = adaptive.decider.observe(adaptive.estimator.rate_at(now));
+        adaptive.next_check = now - (now % adaptive.window) + adaptive.window;
         if let Some(size) = requested {
             self.request_resize(size);
         }
@@ -240,30 +222,26 @@ impl Voq {
         }
     }
 
-    /// Form as many complete stripes as possible from the ready queue.
+    /// Form as many complete stripes as the ready ring holds: stamp each in
+    /// place and let `scheduler` take it off the ring front.
     ///
     /// While a resize is pending (clearance phase), no new stripes are formed:
     /// arrivals keep accumulating so that old-size and new-size stripes never
     /// coexist in the switch.
-    fn collect_stripes(&mut self) -> Vec<Stripe> {
-        let mut out = Vec::new();
+    // lint: hot-path
+    #[inline]
+    fn form_stripes(&mut self, scheduler: &mut dyn StripeScheduler) -> u64 {
         if self.pending_size.is_some() {
-            return out;
+            return 0;
         }
+        let mut formed = 0;
         while self.ready.len() >= self.current_size {
-            let packets: Vec<Packet> = self.ready.drain(..self.current_size).collect();
-            let stripe = Stripe::assemble(
-                self.interval,
-                self.input,
-                self.output,
-                self.next_stripe_seq,
-                packets,
-            );
-            self.next_stripe_seq += 1;
-            self.in_flight += stripe.size() as u64;
-            out.push(stripe);
+            stripe::stamp(self.interval, &mut self.ready);
+            scheduler.insert(self.interval, &mut self.ready);
+            self.in_flight += self.current_size as u64;
+            formed += 1;
         }
-        out
+        formed
     }
 }
 
@@ -271,38 +249,77 @@ impl Voq {
 mod tests {
     use super::*;
 
+    /// A scheduler that records each inserted stripe as `(interval, packets)`.
+    #[derive(Default)]
+    struct Recorder {
+        stripes: Vec<(DyadicInterval, Vec<Packet>)>,
+    }
+
+    impl StripeScheduler for Recorder {
+        fn insert(&mut self, interval: DyadicInterval, ready: &mut VecDeque<Packet>) {
+            let packets = ready.drain(..interval.size()).collect();
+            self.stripes.push((interval, packets));
+        }
+
+        fn serve(&mut self, _row: usize) -> Option<Packet> {
+            None
+        }
+
+        fn queued_packets(&self) -> usize {
+            self.stripes.iter().map(|(_, p)| p.len()).sum()
+        }
+
+        fn queued_in_row(&self, _row: usize) -> usize {
+            0
+        }
+    }
+
     fn pkt(input: usize, output: usize, seq: u64) -> Packet {
         Packet::new(input, output, seq, 0).with_voq_seq(seq)
     }
 
     #[test]
+    fn voqs_stay_small() {
+        // Fixed and matrix-sized VOQs are n² per switch; the adaptive state
+        // lives behind a pointer so they do not pay for it.
+        assert!(std::mem::size_of::<Voq>() <= 136);
+    }
+
+    #[test]
     fn fixed_voq_releases_full_stripes_only() {
         let mut v = Voq::fixed(0, 1, 8, 5, 4);
+        let mut rec = Recorder::default();
         assert_eq!(v.interval(), DyadicInterval::new(4, 4));
         for i in 0..3 {
-            assert!(v.push(pkt(0, 1, i), i).is_empty());
+            assert_eq!(v.push(pkt(0, 1, i), i, &mut rec), 0);
         }
-        let stripes = v.push(pkt(0, 1, 3), 3);
-        assert_eq!(stripes.len(), 1);
-        assert_eq!(stripes[0].size(), 4);
-        assert_eq!(stripes[0].interval, DyadicInterval::new(4, 4));
+        assert_eq!(v.push(pkt(0, 1, 3), 3, &mut rec), 1);
+        assert_eq!(rec.stripes.len(), 1);
+        let (interval, packets) = &rec.stripes[0];
+        assert_eq!(*interval, DyadicInterval::new(4, 4));
+        assert_eq!(packets.len(), 4);
         assert_eq!(v.ready_len(), 0);
         assert_eq!(v.in_flight(), 4);
         // Packets are stamped in arrival order.
-        for (i, p) in stripes[0].packets.iter().enumerate() {
+        for (i, p) in packets.iter().enumerate() {
             assert_eq!(p.voq_seq, i as u64);
             assert_eq!(p.stripe_index(), i);
+            assert_eq!(p.stripe_size(), 4);
+            assert_eq!(p.intermediate(), 4 + i);
         }
     }
 
     #[test]
     fn unit_stripe_voq_releases_every_packet() {
         let mut v = Voq::fixed(0, 1, 8, 3, 1);
+        let mut rec = Recorder::default();
         for i in 0..5 {
-            let s = v.push(pkt(0, 1, i), i);
-            assert_eq!(s.len(), 1);
-            assert_eq!(s[0].size(), 1);
-            assert_eq!(s[0].interval, DyadicInterval::new(3, 1));
+            assert_eq!(v.push(pkt(0, 1, i), i, &mut rec), 1);
+        }
+        assert_eq!(rec.stripes.len(), 5);
+        for (interval, packets) in &rec.stripes {
+            assert_eq!(*interval, DyadicInterval::new(3, 1));
+            assert_eq!(packets.len(), 1);
         }
     }
 
@@ -319,10 +336,10 @@ mod tests {
     #[test]
     fn resize_waits_for_clearance() {
         let mut v = Voq::fixed(0, 1, 8, 1, 2);
+        let mut rec = Recorder::default();
         // Fill one stripe → 2 packets in flight.
-        v.push(pkt(0, 1, 0), 0);
-        let s = v.push(pkt(0, 1, 1), 1);
-        assert_eq!(s.len(), 1);
+        v.push(pkt(0, 1, 0), 0, &mut rec);
+        assert_eq!(v.push(pkt(0, 1, 1), 1, &mut rec), 1);
         assert_eq!(v.in_flight(), 2);
 
         v.request_resize(4);
@@ -335,17 +352,18 @@ mod tests {
 
         // During clearance, arrivals accumulate and no stripes are formed.
         for i in 2..8 {
-            assert!(v.push(pkt(0, 1, i), i).is_empty());
+            assert_eq!(v.push(pkt(0, 1, i), i, &mut rec), 0);
         }
         assert_eq!(v.ready_len(), 6);
 
         // Deliver the two in-flight packets: resize commits and the backlog is
         // released with the new size.
-        assert!(v.packet_delivered().is_empty());
-        let released = v.packet_delivered();
+        assert_eq!(v.packet_delivered(&mut rec), 0);
+        let released = v.packet_delivered(&mut rec);
         assert_eq!(v.stripe_size(), 4);
-        assert_eq!(released.len(), 1, "6 ready packets form one stripe of 4");
-        assert_eq!(released[0].size(), 4);
+        assert_eq!(released, 1, "6 ready packets form one stripe of 4");
+        assert_eq!(rec.stripes[1].1.len(), 4);
+        assert_eq!(rec.stripes[1].1[0].voq_seq, 2);
         assert_eq!(v.ready_len(), 2);
         assert!(!v.resize_pending());
         assert_eq!(v.resizes(), 1);
@@ -354,8 +372,9 @@ mod tests {
     #[test]
     fn resize_to_same_size_clears_pending() {
         let mut v = Voq::fixed(0, 1, 8, 1, 2);
-        v.push(pkt(0, 1, 0), 0);
-        v.push(pkt(0, 1, 1), 1);
+        let mut rec = Recorder::default();
+        v.push(pkt(0, 1, 0), 0, &mut rec);
+        v.push(pkt(0, 1, 1), 1, &mut rec);
         v.request_resize(4);
         assert!(v.resize_pending());
         v.request_resize(2);
@@ -365,20 +384,25 @@ mod tests {
     #[test]
     fn shrinking_releases_multiple_stripes() {
         let mut v = Voq::fixed(0, 1, 8, 0, 8);
+        let mut rec = Recorder::default();
         for i in 0..6 {
-            assert!(v.push(pkt(0, 1, i), i).is_empty());
+            assert_eq!(v.push(pkt(0, 1, i), i, &mut rec), 0);
         }
         v.request_resize(2);
         // With nothing in flight the resize is immediate and the 6 ready
-        // packets become 3 stripes of 2.
-        let released = v.on_slot(6);
+        // packets become 3 stripes of 2, in arrival order.
+        assert_eq!(v.on_slot(6, &mut rec), 3);
         assert_eq!(v.stripe_size(), 2);
-        assert_eq!(released.len(), 3);
-        assert!(released.iter().all(|s| s.size() == 2));
-        // Stripe sequence numbers increase.
-        assert!(released
-            .windows(2)
-            .all(|w| w[0].stripe_seq < w[1].stripe_seq));
+        assert!(rec
+            .stripes
+            .iter()
+            .all(|(i, p)| i.size() == 2 && p.len() == 2));
+        let seqs: Vec<u64> = rec
+            .stripes
+            .iter()
+            .flat_map(|(_, p)| p.iter().map(|p| p.voq_seq))
+            .collect();
+        assert_eq!(seqs, (0..6).collect::<Vec<_>>());
     }
 
     #[test]
@@ -397,19 +421,15 @@ mod tests {
                 initial_size: 1,
             },
         );
+        let mut rec = Recorder::default();
         assert_eq!(v.stripe_size(), 1);
-        let mut delivered_backlog = 0u64;
         // Offer one packet per slot (rate 1.0) for many windows, delivering
         // everything promptly so clearance never blocks.
         for slot in 0..1024u64 {
-            let stripes = v.push(pkt(0, 1, slot), slot);
-            for s in stripes {
-                delivered_backlog += s.size() as u64;
-            }
+            v.push(pkt(0, 1, slot), slot, &mut rec);
             // Deliver in-flight packets immediately.
-            while delivered_backlog > 0 {
-                v.packet_delivered();
-                delivered_backlog -= 1;
+            while v.in_flight() > 0 {
+                v.packet_delivered(&mut rec);
             }
         }
         assert_eq!(
@@ -435,13 +455,13 @@ mod tests {
                 initial_size: 16,
             },
         );
+        let mut rec = Recorder::default();
         // No arrivals at all: after a few windows the decider should shrink
         // the stripe to 1 (rate estimate 0).
-        let mut released = Vec::new();
         for slot in 0..1024u64 {
-            released.extend(v.on_slot(slot));
+            assert_eq!(v.on_slot(slot, &mut rec), 0);
         }
-        assert!(released.is_empty());
+        assert!(rec.stripes.is_empty());
         assert_eq!(v.stripe_size(), 1);
     }
 

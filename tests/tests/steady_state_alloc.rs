@@ -1,13 +1,15 @@
-//! Steady-state allocation-count assertions for the switch hot paths.
+//! Steady-state allocation-count assertions for the simulation hot paths.
 //!
 //! The sink-based `step` contract — and now the batched `step_batch`
-//! contract — is "zero heap allocation in steady state".  This test makes
-//! that claim falsifiable: a counting global allocator wraps the system
-//! allocator, every switch is warmed up until all its internal containers
-//! (VOQ rings, intermediate FIFOs, the pooled frame buffers, the FOFF
-//! resequencer's flat per-input vectors) have reached their high-water
-//! capacity, and then a long measurement window of the *same* deterministic
-//! workload must allocate exactly nothing.
+//! contract — is "zero heap allocation in steady state", on the arrival
+//! side as well as the stepping side, and in the metrics sink that consumes
+//! the deliveries.  This test makes that claim falsifiable: a counting
+//! global allocator wraps the system allocator, every switch is warmed up
+//! until all its internal containers (VOQ rings, the pooled stripe and frame
+//! buffers, intermediate FIFOs, the FOFF resequencer's flat per-input
+//! vectors) have reached their high-water capacity, and then a long
+//! measurement window of the *same* deterministic workload must allocate
+//! exactly nothing.
 //!
 //! This file deliberately contains a single `#[test]`: the allocation
 //! counter is process-global, so a second concurrently-running test would
@@ -17,7 +19,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sprinklers_core::matrix::TrafficMatrix;
 use sprinklers_core::packet::Packet;
-use sprinklers_core::switch::{CountingSink, Switch};
+use sprinklers_core::switch::{CountingSink, DeliverySink, Switch};
+use sprinklers_sim::metrics::MetricsSink;
 use sprinklers_sim::registry;
 use sprinklers_sim::spec::SizingSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -58,77 +61,94 @@ fn allocations() -> u64 {
 
 const N: usize = 16;
 const LOAD: f64 = 0.3;
+const FLOWS: u64 = 64;
 
-/// Drive `slots` slots of a deterministic seeded workload (Bernoulli-ish
-/// arrivals at 30% load, random outputs, 64 distinct flows) through the
-/// per-slot arrive + step path.  Returns the updated identity counters so a
-/// measurement window continues the warm-up's exact packet sequence.
-fn drive(
-    switch: &mut dyn Switch,
-    rng: &mut StdRng,
-    voq_seq: &mut [u64],
-    next_id: &mut u64,
-    from_slot: u64,
-    slots: u64,
-) {
-    let mut sink = CountingSink::default();
-    for slot in from_slot..from_slot + slots {
-        for input in 0..N {
-            if rng.gen_range(0.0..1.0) >= LOAD {
-                continue;
-            }
-            let output = rng.gen_range(0..N);
-            let key = input * N + output;
-            let p = Packet::new(input, output, *next_id, slot)
-                .with_flow(rng.gen_range(0..64u64))
-                .with_voq_seq(voq_seq[key]);
-            voq_seq[key] += 1;
-            *next_id += 1;
-            switch.arrive(p);
+/// A deterministic seeded workload whose identity counters carry over from
+/// one phase to the next, so a measurement window continues the warm-up's
+/// exact packet sequence.
+struct Workload {
+    rng: StdRng,
+    voq_seq: Vec<u64>,
+    next_id: u64,
+    slot: u64,
+}
+
+impl Workload {
+    fn new(seed: u64) -> Self {
+        Workload {
+            rng: StdRng::seed_from_u64(seed),
+            voq_seq: vec![0; N * N],
+            next_id: 0,
+            slot: 0,
         }
-        switch.step(slot, &mut sink);
+    }
+
+    fn packet(&mut self, input: usize, output: usize, flow: u64) -> Packet {
+        let key = input * N + output;
+        let p = Packet::new(input, output, self.next_id, self.slot)
+            .with_flow(flow)
+            .with_voq_seq(self.voq_seq[key]);
+        self.voq_seq[key] += 1;
+        self.next_id += 1;
+        p
+    }
+
+    /// Drive `slots` slots of Bernoulli-ish arrivals at 30% load, random
+    /// outputs and 64 distinct flows through the per-slot arrive + step path.
+    fn drive(&mut self, switch: &mut dyn Switch, sink: &mut dyn DeliverySink, slots: u64) {
+        for _ in 0..slots {
+            for input in 0..N {
+                if self.rng.gen_range(0.0..1.0) >= LOAD {
+                    continue;
+                }
+                let output = self.rng.gen_range(0..N);
+                let flow = self.rng.gen_range(0..FLOWS);
+                let p = self.packet(input, output, flow);
+                switch.arrive(p);
+            }
+            switch.step(self.slot, sink);
+            self.slot += 1;
+        }
+    }
+
+    /// Capacity-inflating warm-up phase: 2N slots of all-inputs-to-one-output
+    /// hotspot per output, cycling over every output.  This drives every
+    /// queue in the switch far past the depth the 30%-load measurement
+    /// window can ever reach — and, because each VOQ receives 2N packets, it
+    /// also forms a glut of simultaneous full stripes and frames,
+    /// pre-populating the stripe and frame pools — so a rare steady-state
+    /// excursion can never trigger a first-time capacity growth
+    /// mid-measurement.
+    fn hotspot_burst(&mut self, switch: &mut dyn Switch) {
+        let mut sink = CountingSink::default();
+        for hot in 0..N {
+            for _ in 0..2 * N {
+                for input in 0..N {
+                    let flow = self.next_id % FLOWS;
+                    let p = self.packet(input, hot, flow);
+                    switch.arrive(p);
+                }
+                switch.step(self.slot, &mut sink);
+                self.slot += 1;
+            }
+        }
     }
 }
 
-/// Capacity-inflating warm-up phase: 2N slots of all-inputs-to-one-output
-/// hotspot per output, cycling over every output.  This drives every queue
-/// in the switch far past the depth the 30%-load measurement window can ever
-/// reach — and, because each VOQ receives 2N packets, it also forms a glut
-/// of simultaneous full frames, pre-populating the frame pools of the
-/// frame-based schemes — so a rare steady-state excursion can never trigger
-/// a first-time capacity growth mid-measurement.
-fn hotspot_burst(
-    switch: &mut dyn Switch,
-    voq_seq: &mut [u64],
-    next_id: &mut u64,
-    from_slot: u64,
-) -> u64 {
-    let mut sink = CountingSink::default();
-    let mut slot = from_slot;
-    for hot in 0..N {
-        for _ in 0..2 * N {
-            for input in 0..N {
-                let key = input * N + hot;
-                let p = Packet::new(input, hot, *next_id, slot)
-                    .with_flow(*next_id % 64)
-                    .with_voq_seq(voq_seq[key]);
-                voq_seq[key] += 1;
-                *next_id += 1;
-                switch.arrive(p);
-            }
-            switch.step(slot, &mut sink);
-            slot += 1;
-        }
-    }
-    slot
+/// Allocations made while `f` runs.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = allocations();
+    f();
+    allocations() - before
 }
 
 #[test]
 fn hot_paths_do_not_allocate_in_steady_state() {
-    // Part 1: the baselines must be allocation-free on the full
-    // arrive + step cycle — frame formation included, thanks to the pooled
-    // frame buffers, and FOFF's resequencing included, thanks to the flat
-    // sorted-vector resequencer.
+    // Part 1: every switch must be allocation-free on the full
+    // arrive + step cycle — stripe formation included, thanks to the pooled
+    // stripe buffers of Sprinklers' input schedulers; frame formation
+    // included, thanks to the pooled frame buffers; and FOFF's resequencing
+    // included, thanks to the flat sorted-vector resequencer.
     let matrix = TrafficMatrix::uniform(N, LOAD);
     for scheme in [
         "oq",
@@ -137,84 +157,80 @@ fn hot_paths_do_not_allocate_in_steady_state() {
         "foff",
         "padded-frames",
         "tcp-hash",
+        "sprinklers",
     ] {
         let mut switch = registry::build_named(scheme, N, &SizingSpec::Matrix, &matrix, 7).unwrap();
-        let mut rng = StdRng::seed_from_u64(2014);
-        let mut voq_seq = vec![0u64; N * N];
-        let mut next_id = 0u64;
+        let mut work = Workload::new(2014);
+        let mut sink = CountingSink::default();
         // The warm-up itself must stay cheap too: with the hot queues
         // pre-sized at construction, filling every container to its
         // high-water mark may still grow some of them past the heuristic
         // capacity (deep per-VOQ frame accumulators, first-time pooled
-        // frames), but never anywhere near one allocation per packet.  Bound
-        // it at one allocation per 16 warm-up packets — the observed worst
-        // case (UFS, whose n² FrameVoq buffers all grow during the hotspot)
-        // sits ~3× under this, while a per-packet allocation regression
-        // overshoots it by an order of magnitude.
-        let warmup_before = allocations();
-        let warm_from = hotspot_burst(switch.as_mut(), &mut voq_seq, &mut next_id, 0);
-        drive(
-            switch.as_mut(),
-            &mut rng,
-            &mut voq_seq,
-            &mut next_id,
-            warm_from,
-            8_192,
-        );
-        let warmup_allocs = allocations() - warmup_before;
+        // frames and stripes), but never anywhere near one allocation per
+        // packet.  Bound it at one allocation per 16 warm-up packets — the
+        // observed worst case (UFS, whose n² FrameVoq buffers all grow
+        // during the hotspot) sits ~3× under this, while a per-packet
+        // allocation regression overshoots it by an order of magnitude.
+        let warmup_allocs = allocations_during(|| {
+            work.hotspot_burst(switch.as_mut());
+            work.drive(switch.as_mut(), &mut sink, 8_192);
+        });
         assert!(
-            warmup_allocs * 16 < next_id,
-            "{scheme} allocated {warmup_allocs} time(s) warming up on {next_id} \
-             packets: warm-up must stay far below one allocation per packet"
+            warmup_allocs * 16 < work.next_id,
+            "{scheme} allocated {warmup_allocs} time(s) warming up on {} \
+             packets: warm-up must stay far below one allocation per packet",
+            work.next_id
         );
 
-        let before = allocations();
-        drive(
-            switch.as_mut(),
-            &mut rng,
-            &mut voq_seq,
-            &mut next_id,
-            warm_from + 8_192,
-            4_096,
-        );
-        let new = allocations() - before;
+        let new = allocations_during(|| work.drive(switch.as_mut(), &mut sink, 4_096));
         assert_eq!(
             new, 0,
             "{scheme} allocated {new} time(s) during 4096 steady-state slots"
         );
+        assert!(sink.total() > 0, "{scheme} delivered packets");
+
+        if scheme != "sprinklers" {
+            continue;
+        }
+        // Part 2: the metrics pipeline the engine feeds every delivery into
+        // must not allocate either.  Its reorder detector keeps one entry
+        // per VOQ from the start but learns each (VOQ, flow) pair's
+        // high-water mark on first sight, so it warms up on enough of the
+        // 64-flow stream to have seen every pair: 65536 slots give each
+        // pair ~190 expected deliveries.
+        let mut metrics = MetricsSink::new(0, N);
+        work.drive(switch.as_mut(), &mut metrics, 65_536);
+        let new = allocations_during(|| work.drive(switch.as_mut(), &mut metrics, 4_096));
+        assert_eq!(
+            new, 0,
+            "the metrics sink allocated {new} time(s) during 4096 steady-state slots"
+        );
+        assert!(metrics.reordering().is_ordered());
     }
 
-    // Part 2: Sprinklers' *stepping* path (both fabrics, LSF service,
+    // Part 3: Sprinklers' batched stepping path (both fabrics, LSF service,
     // clearance notifications, per-slot maintenance) must be allocation-free
-    // when driven through step_batch.  Arrival-side stripe assembly still
-    // allocates per formed stripe, so the measurement here is a pure drain —
-    // exactly the shape of the engine's batched drain phase.
+    // too — exactly the shape of the engine's batched drain phase.
     let mut switch = registry::build_named("sprinklers", N, &SizingSpec::Matrix, &matrix, 7)
         .expect("sprinklers builds");
-    let mut rng = StdRng::seed_from_u64(99);
-    let mut voq_seq = vec![0u64; N * N];
-    let mut next_id = 0u64;
-    let warm_from = hotspot_burst(switch.as_mut(), &mut voq_seq, &mut next_id, 0);
-    drive(
-        switch.as_mut(),
-        &mut rng,
-        &mut voq_seq,
-        &mut next_id,
-        warm_from,
-        4_096,
-    );
-
+    let mut work = Workload::new(99);
     let mut sink = CountingSink::default();
-    let before = allocations();
-    let mut slot = warm_from + 4_096;
-    for _ in 0..32 {
-        switch.step_batch(slot, 64, &mut sink);
-        slot += 64;
-    }
-    let new = allocations() - before;
+    work.hotspot_burst(switch.as_mut());
+    work.drive(switch.as_mut(), &mut sink, 4_096);
+    let before = sink.total();
+    let mut slot = work.slot;
+    let new = allocations_during(|| {
+        for _ in 0..32 {
+            switch.step_batch(slot, 64, &mut sink);
+            slot += 64;
+        }
+    });
     assert_eq!(
         new, 0,
         "sprinklers allocated {new} time(s) during a 2048-slot batched drain"
     );
-    assert!(sink.total() > 0, "the drain actually delivered packets");
+    assert!(
+        sink.total() > before,
+        "the drain actually delivered packets"
+    );
 }
